@@ -40,23 +40,26 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _load_basis(source: str) -> va.IdentityBasis:
     if source.startswith("catalog:"):
-        return va.catalog_basis(source.split(":", 1)[1])
+        try:
+            return va.catalog_basis(source.split(":", 1)[1])
+        except va.BasisError as exc:
+            raise CliError(str(exc))
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             return va.parse_basis(fh.read(), source)
     except OSError as exc:
         raise CliError(f"cannot read basis file: {exc}")
-    except va.BasisError as exc:
+    except (va.BasisError, UnicodeDecodeError) as exc:
         raise CliError(f"bad basis file {source}: {exc}")
 
 
 def _load_table(path: str) -> sg.UnaryCayleyTable:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return sg.table_from_json(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read table file: {exc}")
-    except (sg.TableError, json.JSONDecodeError) as exc:
+    except (sg.TableError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"bad table file {path}: {exc}")
 
 
@@ -105,6 +108,8 @@ def cmd_word(args) -> int:
         t1, t2 = wd.parse_word(w), wd.parse_word(other)
     except (wd.WordSyntaxError, wd.InvalidWordError) as exc:
         raise CliError(f"bad word: {exc}")
+    if args.budget < 1:
+        raise CliError("--budget must be at least 1")
     verdict = wd.zeta_equivalent(t1, t2, args.budget)
     if isinstance(verdict, wd.ZetaEquivalent):
         path = [wd.term_to_text(t) for t in verdict.witness]
@@ -182,10 +187,12 @@ def cmd_semigroup(args) -> int:
         return 0
     if args.action == "check":
         try:
-            with open(args.table) as fh:
+            with open(args.table, encoding="utf-8") as fh:
                 payload = json.load(fh)
             S = sg.table(payload["op"], payload["inv"], payload.get("name", ""))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, sg.TableError) as exc:
+        except (
+            OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, sg.TableError
+        ) as exc:
             raise CliError(f"bad table file {args.table}: {exc}")
         bad = sg.first_nonassociative_triple(S)
         cr = None if bad is not None else sg.first_cr_failure(S)

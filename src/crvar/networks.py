@@ -245,14 +245,12 @@ class Network:
     meta: tuple = ()
 
     def node_ids(self) -> tuple:
-        return tuple(render_expr(n) for n in self.nodes)
+        return tuple(_node_id(n) for n in self.nodes)
 
 
 def _network(nodes, covers, rows, theorem, depth, meta=()) -> Network:
-    nodes = tuple(sorted(set(nodes), key=render_expr))
-    covers = tuple(
-        sorted(set(covers), key=lambda c: (render_expr(c[0]), render_expr(c[1]), c[2]))
-    )
+    nodes = tuple(sorted(set(nodes), key=_node_id))
+    covers = tuple(sorted(set(covers), key=lambda c: (_node_id(c[0]), _node_id(c[1]), c[2])))
     return Network(nodes, covers, tuple(tuple(r) for r in rows), theorem, depth, tuple(meta))
 
 
@@ -382,9 +380,7 @@ def gen_combined(depth: int, with_top: bool = False) -> Network:
     rows = tuple(tuple(wrapk[n] for n in r) for r in K.rows) + tuple(
         tuple(wrapt[n] for n in r) for r in T.rows
     )
-    nodes = sorted(nodes, key=render_tagged)
-    covers = sorted(set(covers), key=lambda c: (render_tagged(c[0]), render_tagged(c[1]), c[2]))
-    return Network(tuple(nodes), tuple(covers), rows, "4.5", depth)
+    return _network(nodes, covers, rows, "4.5", depth)
 
 
 # -- ladders ------------------------------------------------------------------
@@ -629,6 +625,8 @@ _MIRROR_BASE = {"Vl": "Vr", "Vr": "Vl", "V^l": "V^r", "V^r": "V^l"}
 
 
 def mirror_expr(e: NodeExpr) -> NodeExpr:
+    if isinstance(e, TaggedNode):
+        return TaggedNode(e.tag, mirror_expr(e.expr))
     if isinstance(e, BaseNode):
         sym = e.symbol
         for a, b in _MIRROR_BASE.items():
@@ -698,15 +696,7 @@ def check_lattice(net: Network) -> LatticeReport:
                 if len(minimal) != 1:
                     return LatticeReport(
                         False,
-                        (
-                            kind,
-                            render_expr(x) if not isinstance(x, TaggedNode) else render_tagged(x),
-                            render_expr(y) if not isinstance(y, TaggedNode) else render_tagged(y),
-                            frozenset(
-                                render_expr(m) if not isinstance(m, TaggedNode) else render_tagged(m)
-                                for m in minimal
-                            ),
-                        ),
+                        (kind, _node_id(x), _node_id(y), frozenset(_node_id(m) for m in minimal)),
                     )
     return LatticeReport(True)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .words import Inv, Term, Var, content
 
@@ -55,9 +56,13 @@ class UnaryCayleyTable:
             raise TableError("table shape mismatch")
         for row in self.op:
             for x in row:
+                if type(x) is not int:
+                    raise TableError(f"entry {x!r} is not an integer")
                 if not 0 <= x < n:
                     raise TableError(f"index {x} out of range")
         for x in self.inv:
+            if type(x) is not int:
+                raise TableError(f"inverse entry {x!r} is not an integer")
             if not 0 <= x < n:
                 raise TableError(f"inverse index {x} out of range")
 
@@ -129,47 +134,88 @@ def evaluate(S: UnaryCayleyTable, term: Term, assignment: Dict[str, int]) -> int
     return acc
 
 
-def _compile(term: Term, slot: Dict[str, int], code: list) -> None:
-    # Postfix code: ("v", slot) push, ("i",) invert top, ("m",) multiply top two.
-    if isinstance(term, Var):
-        code.append(("v", slot[term.name]))
-    elif isinstance(term, Inv):
-        _compile(term.body, slot, code)
-        code.append(("i", 0))
-    else:
-        _compile(term.factors[0], slot, code)
+# How many compiled checkers are cached; a fixed bound keeps memory flat however
+# many distinct identities a session checks.
+_CHECKER_CACHE_SIZE = 1024
+
+# CPython allows 20 statically nested blocks.  Past this many variables the
+# outermost ones share a single ``product`` loop.
+_MAX_LOOPS = 18
+
+
+@lru_cache(maxsize=_CHECKER_CACHE_SIZE)
+def compile_identity(lhs: Term, rhs: Term) -> Callable:
+    """Compile lhs = rhs into a function ``check(op, inv, R)``.
+
+    ``check`` runs one loop over ``R`` per variable, sorted names first
+    outermost, which is the order of ``itertools.product(R, repeat=k)``; it
+    returns the value tuple of the first assignment where the two sides
+    differ, or None.  Every subterm and every prefix of a product is computed
+    once, in the loop of its deepest variable, and a repeated subterm shares
+    one temporary.  The source holds slot numbers only, never a variable name.
+    """
+    names = sorted(content(lhs) | content(rhs))
+    slot = {x: i for i, x in enumerate(names)}
+    fused = max(0, len(names) - _MAX_LOOPS)  # extra variables in loop 0
+    body: List[list] = [[] for _ in range(len(names) - fused)]
+    memo: Dict[tuple, tuple] = {}  # structural key -> (temporary, loop)
+
+    def define(key: tuple, level: int, expr: str) -> tuple:
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (f"t{len(memo)}", level)
+            body[level].append(f"{hit[0]} = {expr}")
+        return hit
+
+    def value(term: Term) -> tuple:
+        if isinstance(term, Var):
+            i = slot[term.name]
+            return f"v{i}", max(0, i - fused)
+        if isinstance(term, Inv):
+            a, level = value(term.body)
+            return define(("i", a), level, f"inv[{a}]")
+        acc, level = value(term.factors[0])
         for f in term.factors[1:]:
-            _compile(f, slot, code)
-            code.append(("m", 0))
+            b, deeper = value(f)
+            if deeper > level:
+                # the row of the prefix is loop-invariant in the inner loops
+                row, _ = define(("r", acc), level, f"op[{acc}]")
+                acc, level = define(("m", acc, b), deeper, f"{row}[{b}]")
+            else:
+                acc, level = define(("m", acc, b), level, f"op[{acc}][{b}]")
+        return acc, level
 
-
-def _run(code: list, values: tuple, op: tuple, inv: tuple) -> int:
-    stack: list = []
-    push = stack.append
-    for kind, arg in code:
-        if kind == "v":
-            push(values[arg])
-        elif kind == "m":
-            b = stack.pop()
-            stack[-1] = op[stack[-1]][b]
+    left, _ = value(lhs)
+    right, _ = value(rhs)
+    lines = ["def check(op, inv, R):"]
+    indent = "    "
+    for level, stmts in enumerate(body):
+        if level == 0 and fused:
+            bound = ", ".join(f"v{i}" for i in range(fused + 1))
+            lines.append(f"{indent}for {bound} in product(R, repeat={fused + 1}):")
         else:
-            stack[-1] = inv[stack[-1]]
-    return stack[0]
+            lines.append(f"{indent}for v{level + fused} in R:")
+        indent += "    "
+        lines += [indent + s for s in stmts]
+    values = ", ".join(f"v{i}" for i in range(len(names)))
+    lines += [f"{indent}if {left} != {right}:", f"{indent}    return ({values},)", "    return None"]
+    source = "\n".join(lines) + "\n"
+    namespace: dict = {"product": product}
+    exec(compile(source, "<identity>", "exec"), namespace)
+    check = namespace["check"]
+    check.source = source
+    return check
 
 
 def holds(S: UnaryCayleyTable, lhs: Term, rhs: Term) -> Optional[Dict[str, int]]:
-    """None if lhs = rhs holds under every assignment, else a counter-assignment."""
-    names = sorted(content(lhs) | content(rhs))
-    slot = {x: i for i, x in enumerate(names)}
-    lcode: list = []
-    rcode: list = []
-    _compile(lhs, slot, lcode)
-    _compile(rhs, slot, rcode)
-    op, inv = S.op, S.inv
-    for values in product(range(S.order), repeat=len(names)):
-        if _run(lcode, values, op, inv) != _run(rcode, values, op, inv):
-            return dict(zip(names, values))
-    return None
+    """None if lhs = rhs holds under every assignment, else the first
+    counter-assignment in ``itertools.product`` order over the sorted variables."""
+    if lhs == rhs:
+        return None
+    bad = compile_identity(lhs, rhs)(S.op, S.inv, range(S.order))
+    if bad is None:
+        return None
+    return dict(zip(sorted(content(lhs) | content(rhs)), bad))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +707,8 @@ def free_band(generators: int) -> UnaryCayleyTable:
     )
     inv = tuple(range(len(elems)))
     S = UnaryCayleyTable(op, inv, f"FB{generators}")
-    assert S.order == _FREE_BAND_ORDERS[generators]
+    if S.order != _FREE_BAND_ORDERS[generators]:
+        raise TableError(f"free band on {generators} generators came out with order {S.order}")
     return S
 
 

@@ -19,6 +19,7 @@ from .words import (
     Inv,
     Term,
     Var,
+    WordError,
     content,
     mirror_term,
     parse_text,
@@ -69,12 +70,15 @@ def idempotent(w: Term) -> Identity:
 
 def parse_identity(line: str) -> Identity:
     text = line.strip()
-    if text.endswith(" in E"):
-        return idempotent(parse_text(text[:-5]))
-    if "=" not in text:
-        raise BasisError(f"cannot parse identity {line!r}")
-    lhs, rhs = text.split("=", 1)
-    return Identity(parse_text(lhs), parse_text(rhs))
+    try:
+        if text.endswith(" in E"):
+            return idempotent(parse_text(text[:-5]))
+        if "=" not in text:
+            raise BasisError(f"cannot parse identity {line!r}")
+        lhs, rhs = text.split("=", 1)
+        return Identity(parse_text(lhs), parse_text(rhs))
+    except WordError as exc:
+        raise BasisError(f"cannot parse identity {line!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -192,8 +192,10 @@ class Prod:
     factors: tuple
 
     def __post_init__(self):
-        assert len(self.factors) >= 2
-        assert not any(isinstance(f, Prod) for f in self.factors)
+        if len(self.factors) < 2:
+            raise WordError("a product needs at least two factors")
+        if any(isinstance(f, Prod) for f in self.factors):
+            raise WordError("product factors must not be products")
 
 
 Term = Union[Var, Inv, Prod]

@@ -134,6 +134,58 @@ def test_variety_member_json_format(capsys, fb2_file):
     assert json.loads(out) == {"member": True}
 
 
+def test_variety_member_trivial_identity_skips_enumeration(capsys, tmp_path, monkeypatch):
+    # on FB3 this identity has 159^6 assignments; its sides are equal as written
+    table = tmp_path / "fb3.json"
+    table.write_text(sg.table_to_json(sg.free_band(3)))
+    basis = tmp_path / "trivial.txt"
+    basis.write_text("xyzuvw = xyzuvw\n")
+    monkeypatch.setattr(sg, "compile_identity", None)
+    code, out, _ = run(capsys, "variety", "member", "--format", "json", str(basis), str(table))
+    assert code == 0
+    assert json.loads(out) == {"member": True}
+
+
+# ---------------------------------------------------------------------------
+# malformed input: one line on stderr, exit 2
+
+
+def assert_input_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_table_with_float_entries(capsys, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text('{"op": [[0.0, 1.0], [0.0, 1.0]], "inv": [0, 1]}')
+    assert_input_error(capsys, "semigroup", "green", str(path))
+    assert_input_error(capsys, "semigroup", "check", str(path))
+
+
+def test_table_not_utf8(capsys, tmp_path, fb2_file):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9", "op": [[0]], "inv": [0]}')
+    assert_input_error(capsys, "semigroup", "green", str(path))
+    assert_input_error(capsys, "semigroup", "check", str(path))
+    assert_input_error(capsys, "variety", "member", str(path), fb2_file)
+
+
+def test_zeta_check_budget_zero(capsys):
+    assert_input_error(capsys, "word", "zeta-check", "xy", "yx", "--budget", "0")
+
+
+def test_basis_line_with_two_equals(capsys, tmp_path, fb2_file):
+    path = tmp_path / "chain.txt"
+    path.write_text("x = y = z\n")
+    assert_input_error(capsys, "variety", "member", str(path), fb2_file)
+
+
+def test_unknown_catalog_basis(capsys, fb2_file):
+    assert_input_error(capsys, "variety", "member", "catalog:NOPE", fb2_file)
+
+
 # ---------------------------------------------------------------------------
 # semigroup
 

@@ -147,6 +147,21 @@ def test_combined_cross_edges_preserve_order():
             assert len(a.expr.word) == len(b.expr.word)
 
 
+def test_combined_mirror_is_an_involution():
+    for depth in (1, 2, 3):
+        C = nw.gen_combined(depth)
+        M = nw.mirror_network(C)
+        assert M != C
+        assert nw.mirror_network(M) == C
+        assert all(isinstance(n, nw.TaggedNode) for n in M.nodes)
+
+
+def test_combined_mirror_is_isomorphic():
+    for depth in (1, 2, 3):
+        C = nw.gen_combined(depth)
+        assert nw.isomorphic(nw.mirror_network(C), C)
+
+
 # ---------------------------------------------------------------------------
 # ladders
 

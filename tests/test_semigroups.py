@@ -95,6 +95,116 @@ def test_satisfies_free_band():
 
 
 # ---------------------------------------------------------------------------
+# the compiled identity checker against a brute force over ``evaluate``
+
+
+def brute_holds(S, lhs, rhs):
+    names = sorted(wd.content(lhs) | wd.content(rhs))
+    for values in itertools.product(range(S.order), repeat=len(names)):
+        a = dict(zip(names, values))
+        if sg.evaluate(S, lhs, a) != sg.evaluate(S, rhs, a):
+            return a
+    return None
+
+
+SHARED_SUBTERMS = [
+    ("(xy)^-1xy", "xy(xy)^-1"),
+    ("xyzxyz", "xyz"),
+    ("x(yz)^-1yz", "x(yz)^-1"),
+    ("(xy)^-1(xy)^-1", "(xy)^-1"),
+    ("xy(zx)^-1zx", "xy(zx)^-1(zx)^-1zx"),
+    ("x^0y^0x^0", "x^0y^0"),
+    ("((x)^-1)^-1yx", "xy((x)^-1)^-1"),
+    ("zyx", "z(y)^-1x"),
+]
+
+
+def _oracle_identities():
+    from conftest import random_terms
+
+    terms = random_terms(60, 3, seed=23)
+    pairs = list(zip(terms[::2], terms[1::2]))
+    # true in every completely regular table, so checked in full there
+    pairs += [(t, Inv(Inv(t))) for t in terms[:15]]
+    pairs += [(t, wd.prod((t, Inv(t), t))) for t in terms[15:30]]
+    pairs += [(wd.parse_text(l), wd.parse_text(r)) for l, r in SHARED_SUBTERMS]
+    return pairs
+
+
+def test_holds_matches_brute_force(tables):
+    # the witness, not just the verdict: the first counterexample is CLI output
+    pairs = _oracle_identities()
+    checked = 0
+    for S in list(sg.enumerate_unary_cr_tables(3)) + list(tables.values()):
+        for lhs, rhs in pairs:
+            k = len(wd.content(lhs) | wd.content(rhs))
+            if S.order**k > 1296:
+                continue
+            assert sg.holds(S, lhs, rhs) == brute_holds(S, lhs, rhs), (S.name, lhs, rhs)
+            checked += 1
+    assert checked > 2500
+
+
+def test_holds_fused_outer_loop_matches_brute_force(monkeypatch, tables):
+    # with a tiny loop budget every identity in three or more variables
+    # runs through the fused ``product`` loop
+    monkeypatch.setattr(sg, "_MAX_LOOPS", 2)
+    compile_uncached = sg.compile_identity.__wrapped__
+    for S in (tables["LZ2"], tables["SL3"], tables["C3"], tables["RB22"]):
+        for lhs, rhs in _oracle_identities():
+            names = sorted(wd.content(lhs) | wd.content(rhs))
+            check = compile_uncached(lhs, rhs)
+            if len(names) > 2:
+                assert "product(R, repeat=" in check.source
+            bad = check(S.op, S.inv, range(S.order))
+            got = None if bad is None else dict(zip(names, bad))
+            assert got == brute_holds(S, lhs, rhs)
+
+
+def test_compiled_checker_is_cached():
+    lhs, rhs = wd.parse_text("xy(zx)^-1"), wd.parse_text("x(zy)^-1")
+    first = sg.compile_identity(lhs, rhs)
+    again = sg.compile_identity(wd.parse_text("xy(zx)^-1"), wd.parse_text("x(zy)^-1"))
+    assert first is again
+
+
+def test_compiled_source_holds_no_variable_names():
+    import io
+    import keyword
+    import re
+    import tokenize
+
+    lhs, rhs = wd.parse_text("apple(banana)^-1cherry"), wd.parse_text("cherry((apple)^-1)^-1")
+    source = sg.compile_identity(lhs, rhs).source
+    allowed = {"check", "op", "inv", "R", "product", "repeat", "None"}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME and not keyword.iskeyword(tok.string):
+            assert tok.string in allowed or re.fullmatch(r"[vt][0-9]+", tok.string), tok.string
+
+
+def test_compiled_checker_hoists_and_shares_subterms():
+    # xy is computed once, in the loop of y, and feeds both sides
+    source = sg.compile_identity(wd.parse_text("xyz"), wd.parse_text("xy(z)^-1")).source
+    lines = [line.strip() for line in source.splitlines()]
+    assert lines.count("t1 = t0[v1]") == 1
+    assert lines.index("t1 = t0[v1]") < lines.index("for v2 in R:")
+
+
+def test_holds_25_variables_one_element_table():
+    names = [f"x{i}" for i in range(25)]
+    lhs, rhs = wd.parse_text("".join(names)), wd.parse_text("".join(reversed(names)))
+    assert sg.holds(sg.table([[0]], [0]), lhs, rhs) is None
+
+
+def test_holds_25_variables_witness_on_left_zero():
+    names = [f"x{i}" for i in range(25)]
+    lhs, rhs = wd.parse_text("".join(names)), wd.parse_text("".join(reversed(names)))
+    expected = {x: 0 for x in names}
+    expected["x24"] = 1
+    assert sg.holds(left_zero(2), lhs, rhs) == expected
+
+
+# ---------------------------------------------------------------------------
 # duality
 
 

@@ -269,3 +269,11 @@ def test_zero_power_mirror_zeta():
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         wd.zeta_equivalent(Var("x"), Var("y"), 0)
+
+
+def test_prod_invariants_raise_without_asserts():
+    # checked by exceptions, so ``python -O`` keeps them
+    with pytest.raises(wd.WordError):
+        wd.Prod((wd.Var("x"),))
+    with pytest.raises(wd.WordError):
+        wd.Prod((wd.Var("x"), wd.Prod((wd.Var("y"), wd.Var("z")))))

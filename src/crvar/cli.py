@@ -32,8 +32,11 @@ def _emit(args, payload: dict, text: str) -> None:
     else:
         out = text if text.endswith("\n") or not text else text + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise CliError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(out)
 
@@ -53,13 +56,15 @@ def _load_basis(source: str) -> va.IdentityBasis:
         raise CliError(f"bad basis file {source}: {exc}")
 
 
-def _load_table(path: str) -> sg.UnaryCayleyTable:
+def _load_table(path: str, axioms: bool = True) -> sg.UnaryCayleyTable:
+    """Load a table file; without ``axioms`` only its format is checked."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return sg.table_from_json(fh.read())
+            text = fh.read()
+        return (sg.table_from_json if axioms else sg.parse_table)(text)
     except OSError as exc:
         raise CliError(f"cannot read table file: {exc}")
-    except (sg.TableError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # TableError, JSONDecodeError, UnicodeDecodeError
         raise CliError(f"bad table file {path}: {exc}")
 
 
@@ -186,14 +191,7 @@ def cmd_semigroup(args) -> int:
         _emit(args, json.loads(sg.table_to_json(S)), sg.table_to_json(S))
         return 0
     if args.action == "check":
-        try:
-            with open(args.table, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            S = sg.table(payload["op"], payload["inv"], payload.get("name", ""))
-        except (
-            OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, sg.TableError
-        ) as exc:
-            raise CliError(f"bad table file {args.table}: {exc}")
+        S = _load_table(args.table, axioms=False)
         bad = sg.first_nonassociative_triple(S)
         cr = None if bad is not None else sg.first_cr_failure(S)
         ok = bad is None and cr is None
@@ -294,15 +292,9 @@ def cmd_network(args) -> int:
             bases = nw.instantiate(net, bindings)
         except va.BasisError as exc:
             raise CliError(str(exc))
-    if args.fmt == "dot":
-        out = nw.emit_dot(net, bases)
-    else:
-        out = nw.emit_json(net, bases)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    emit = nw.emit_dot if args.fmt == "dot" else nw.emit_json
+    # network options name the format ``fmt``, so _emit writes the text as is
+    _emit(args, None, emit(net, bases))
     return 0
 
 
@@ -387,6 +379,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

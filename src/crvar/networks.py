@@ -20,7 +20,7 @@ in DOT output these map to solid, dashed and dotted styles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import theta
@@ -112,32 +112,8 @@ def upper(base: NodeExpr, word: Sequence[str]) -> NodeExpr:
     if not word:
         return base
     if isinstance(base, UpperNode):
-        return UpperNode(base.base, _theta_concat(base.word, word))
+        return UpperNode(base.base, theta.multiply(base.word, word))
     return UpperNode(base, word)
-
-
-def _theta_concat(w1: tuple, w2: tuple) -> tuple:
-    out = list(w1)
-    for a in w2:
-        if not out or out[-1] != a:
-            out.append(a)
-    return tuple(out)
-
-
-def _collapse_word(w: tuple) -> tuple:
-    return _theta_concat((), w)
-
-
-_SWAP = {"Kl": "Kr", "Kr": "Kl", "Tl": "Tr", "Tr": "Tl"}
-
-
-def _is_alternating(word: tuple) -> bool:
-    return all(a != b for a, b in zip(word, word[1:])) and len(set(word) - set(_SWAP)) == 0
-
-
-def _same_alphabet(w1: tuple, w2: tuple) -> bool:
-    k = {"Kl", "Kr"}
-    return (set(w1) <= k) == (set(w2) <= k)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +141,7 @@ def _normalize_once(e: NodeExpr) -> NodeExpr:
         return e
     if isinstance(e, UpperNode):
         base = _normalize_once(e.base)
-        return upper(base, _collapse_word(e.word))
+        return upper(base, theta.multiply(theta.EMPTY, e.word))
     args = tuple(_normalize_once(a) for a in e.args)
     if isinstance(e, JoinNode):
         rewritten = _join_to_meet(args)
@@ -189,16 +165,13 @@ def _join_to_meet(args: tuple) -> Optional[NodeExpr]:
         return None
     if a.base != b.base or len(a.word) != len(b.word):
         return None
-    if not (_is_alternating(a.word) and _is_alternating(b.word)):
+    if not (theta.is_alternating(a.word) and theta.is_alternating(b.word)):
         return None
-    if not (set(a.word) | set(b.word)) <= {"Kl", "Kr"}:
+    if not set(a.word + b.word) <= set(theta.K_LETTERS):
         return None
     if a.word[0] == b.word[0]:
         return None
-    return meet_expr(
-        upper(a.base, a.word + (_SWAP[a.word[-1]],)),
-        upper(b.base, b.word + (_SWAP[b.word[-1]],)),
-    )
+    return meet_expr(upper(a.base, theta.higher(a.word)), upper(b.base, theta.higher(b.word)))
 
 
 def _known_leq(a: NodeExpr, b: NodeExpr) -> bool:
@@ -211,9 +184,9 @@ def _known_leq(a: NodeExpr, b: NodeExpr) -> bool:
     if isinstance(a, UpperNode) and isinstance(b, UpperNode):
         return (
             a.base == b.base
-            and _is_alternating(a.word)
-            and _is_alternating(b.word)
-            and _same_alphabet(a.word, b.word)
+            and theta.is_alternating(a.word)
+            and theta.is_alternating(b.word)
+            and theta.same_alphabet(a.word, b.word)
             and len(a.word) < len(b.word)
         )
     return False
@@ -258,15 +231,9 @@ V_K = UpperNode(V, ("K",))
 V_T = UpperNode(V, ("T",))
 
 
-def _k_sides(level: int) -> tuple:
-    """The two operator nodes of a level, Tl-headed word first."""
-    words = sorted(theta.enumerate_words(level), key=str)
-    return tuple(upper(V, theta.substitute(w, ("Kl", "Kr"))) for w in words)
-
-
-def _t_sides(level: int) -> tuple:
-    words = sorted(theta.enumerate_words(level), key=str)
-    return tuple(upper(V, theta.substitute(w, ("Tl", "Tr"))) for w in words)
+def _sides(level: int, letters: tuple) -> tuple:
+    """The two operator nodes V^w of a level, the l-headed word first."""
+    return tuple(upper(V, w) for w in sorted(theta.enumerate_words(level, letters)))
 
 
 def gen_K_network(depth: int, with_top: bool = False) -> Network:
@@ -281,32 +248,27 @@ def gen_K_network(depth: int, with_top: bool = False) -> Network:
     meta: list = []
     below = V
     for level in range(1, depth + 1):
-        left, right = _k_sides(level)
+        left, right = _sides(level, theta.K_LETTERS)
         middle = normalize(JoinNode((left, right)))
         rows.append((left, right))
         rows.append((middle,))
-        covers.append((below, left, left.word[-1]))
-        covers.append((below, right, right.word[-1]))
-        covers.append((left, middle, _SWAP[left.word[-1]]))
-        covers.append((right, middle, _SWAP[right.word[-1]]))
-        nodes += [left, right, middle]
-        for side in (left, right):
+        for side, t_side in zip((left, right), _sides(level, theta.T_LETTERS)):
+            covers.append((below, side, side.word[-1]))
+            covers.append((side, middle, theta.higher(side.word)[-1]))
             meta.append(
                 (
                     render_expr(side),
                     "largest variety with this intersection against V^K is "
-                    + render_expr(upper(V, tuple(_T_OF[a] for a in side.word))),
+                    + render_expr(t_side),
                 )
             )
+        nodes += [left, right, middle]
         below = middle
     if with_top:
         nodes.append(V_K)
         covers.append((below, V_K, "plain"))
         rows.append((V_K,))
     return _network(nodes, covers, rows, "4.2", depth, meta)
-
-
-_T_OF = {"Kl": "Tl", "Kr": "Tr"}
 
 
 def gen_T_network(depth: int, with_top: bool = False, collapse: Sequence[int] = ()) -> Network:
@@ -322,31 +284,24 @@ def gen_T_network(depth: int, with_top: bool = False, collapse: Sequence[int] = 
     rows: list = [(V,), (V_T,)]
     below = V_T
     for level in range(1, depth + 1):
-        left, right = _t_sides(level)
+        left, right = _sides(level, theta.T_LETTERS)
         join_node = JoinNode(_sorted_args((left, right)))
         # one letter higher on each side: the trace closure of the join
-        meet_node = meet_expr(
-            upper(V, left.word + (_SWAP[left.word[-1]],)),
-            upper(V, right.word + (_SWAP[right.word[-1]],)),
-        )
-        covers.append((below, left, left.word[-1]))
-        covers.append((below, right, right.word[-1]))
+        meet_node = meet_expr(upper(V, theta.higher(left.word)), upper(V, theta.higher(right.word)))
+        # with the level collapsed the sides are covered by the meet itself
+        middle = meet_node if level in collapse else join_node
+        for side in (left, right):
+            covers.append((below, side, side.word[-1]))
+            covers.append((side, middle, theta.higher(side.word)[-1]))
+        rows.append((left, right))
         if level in collapse:
-            middle_top = meet_node
-            covers.append((left, meet_node, _SWAP[left.word[-1]]))
-            covers.append((right, meet_node, _SWAP[right.word[-1]]))
             nodes += [left, right, meet_node]
-            rows.append((left, right))
             rows.append((meet_node,))
         else:
-            covers.append((left, join_node, _SWAP[left.word[-1]]))
-            covers.append((right, join_node, _SWAP[right.word[-1]]))
             covers.append((join_node, meet_node, "plain"))
             nodes += [left, right, join_node, meet_node]
-            rows.append((left, right))
             rows.append((join_node, meet_node))
-            middle_top = meet_node
-        below = middle_top
+        below = meet_node
     if with_top:
         nodes.append(CR)
         covers.append((below, CR, "plain"))
@@ -375,7 +330,7 @@ def gen_combined(depth: int, with_top: bool = False) -> Network:
     covers = [(wrapk[a], wrapk[b], l) for a, b, l in K.covers]
     covers += [(wrapt[a], wrapt[b], l) for a, b, l in T.covers]
     for level in range(1, depth + 1):
-        for ks, ts in zip(_k_sides(level), _t_sides(level)):
+        for ks, ts in zip(_sides(level, theta.K_LETTERS), _sides(level, theta.T_LETTERS)):
             covers.append((wrapk[ks], wrapt[ts], "plain"))
     rows = tuple(tuple(wrapk[n] for n in r) for r in K.rows) + tuple(
         tuple(wrapt[n] for n in r) for r in T.rows
@@ -486,17 +441,14 @@ def gen_ladder61(
     with the stated fixed-point side conditions, and a fresh intermediate
     upper bound per level.  With the default choice V^l = V^Kl, V^r = V^Kr
     the result is the plain ladder."""
+    if use_default_upper:
+        return replace(
+            gen_ladder51(depth, with_top),
+            theorem="6.1",
+            meta=(("side_conditions", REQUIRED_SIDE_CONDITIONS),),
+        )
     if depth < 1:
         raise NetworkError("depth must be >= 1")
-    if use_default_upper:
-        return _ladder(
-            depth,
-            with_top,
-            _ladder_chain(depth + 1, "l", upper(V, ("Kl",)), upper(V, ("Kr",))),
-            _ladder_chain(depth + 1, "r", upper(V, ("Kl",)), upper(V, ("Kr",))),
-            "6.1",
-            (("side_conditions", REQUIRED_SIDE_CONDITIONS),),
-        )
     missing = [c for c in REQUIRED_SIDE_CONDITIONS if c not in side_conditions]
     if missing:
         raise MissingSideConditionError(
@@ -636,9 +588,7 @@ def mirror_expr(e: NodeExpr) -> NodeExpr:
                 return BaseNode(b + sym[len(a) :])
         return e
     if isinstance(e, UpperNode):
-        return UpperNode(
-            mirror_expr(e.base), tuple(_SWAP.get(a, a) for a in e.word)
-        )
+        return UpperNode(mirror_expr(e.base), theta.dual_word(e.word))
     if isinstance(e, JoinNode):
         return JoinNode(_sorted_args(mirror_expr(a) for a in e.args))
     return MeetNode(_sorted_args(mirror_expr(a) for a in e.args))
@@ -646,7 +596,7 @@ def mirror_expr(e: NodeExpr) -> NodeExpr:
 
 def mirror_network(net: Network) -> Network:
     m = {n: mirror_expr(n) for n in net.nodes}
-    covers = [(m[a], m[b], _SWAP.get(l, l)) for a, b, l in net.covers]
+    covers = [(m[a], m[b], theta.dual_word((l,))[0]) for a, b, l in net.covers]
     rows = tuple(tuple(m[n] for n in r) for r in net.rows)
     return _network(m.values(), covers, rows, net.theorem, net.depth, net.meta)
 
@@ -860,11 +810,10 @@ def load_json(text: str) -> Network:
         (exprs[c["lo"]], exprs[c["hi"]], c["label"]) for c in payload["covers"]
     ]
     meta = payload["meta"]
-    rows = tuple(tuple(exprs[i] for i in row) for row in meta["rows"])
-    return Network(
-        tuple(sorted(exprs.values(), key=_node_id)),
-        tuple(sorted(set(covers), key=lambda c: (_node_id(c[0]), _node_id(c[1]), c[2]))),
-        rows,
+    return _network(
+        exprs.values(),
+        covers,
+        ([exprs[i] for i in row] for row in meta["rows"]),
         meta.get("theorem", ""),
         meta.get("depth", 0),
         _deep_tuple(meta.get("extra", ())),

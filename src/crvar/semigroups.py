@@ -847,14 +847,25 @@ def table_to_json(S: UnaryCayleyTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def table_from_json(text: str) -> UnaryCayleyTable:
+def parse_table(text: str) -> UnaryCayleyTable:
+    """Read a table file: its JSON, shape, integer entries, declared order
+    and name.  The semigroup axioms are not checked."""
     payload = json.loads(text)
     try:
         S = table(payload["op"], payload["inv"], payload.get("name", ""))
     except (KeyError, TypeError) as exc:
         raise TableError(f"malformed table file: {exc}") from None
+    if not isinstance(S.name, str):
+        raise TableError("table name must be a string")
     if S.order != payload.get("order", S.order):
         raise TableError("declared order does not match the table")
+    return S
+
+
+def table_from_json(text: str) -> UnaryCayleyTable:
+    """``parse_table`` followed by the associativity and complete-regularity
+    checks; the first failure is named in the TableError."""
+    S = parse_table(text)
     bad = first_nonassociative_triple(S)
     if bad is not None:
         raise TableError(f"not associative: failing triple {bad}")

@@ -186,6 +186,55 @@ def test_unknown_catalog_basis(capsys, fb2_file):
     assert_input_error(capsys, "variety", "member", "catalog:NOPE", fb2_file)
 
 
+def test_declared_order_mismatch(capsys, tmp_path):
+    path = tmp_path / "order.json"
+    path.write_text('{"order": 2, "op": [[0]], "inv": [0]}')
+    assert_input_error(capsys, "semigroup", "green", str(path))
+    assert_input_error(capsys, "semigroup", "check", str(path))
+
+
+def test_table_name_not_a_string(capsys, tmp_path):
+    path = tmp_path / "name.json"
+    path.write_text('{"op": [[0]], "inv": [0], "name": ["x"]}')
+    with pytest.raises(sg.TableError):
+        sg.parse_table(path.read_text())
+    for action in ("dual", "check", "green"):
+        assert_input_error(capsys, "semigroup", action, str(path))
+
+
+def test_table_integer_too_long(capsys, tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"op": [[' + "1" * 5000 + ']], "inv": [0]}')
+    assert_input_error(capsys, "semigroup", "green", str(path))
+    assert_input_error(capsys, "semigroup", "check", str(path))
+
+
+def test_unwritable_output_file(capsys, tmp_path):
+    missing = str(tmp_path / "no" / "such" / "out")
+    for argv in (
+        ("word", "mirror", "xy", "-o", missing),
+        ("network", "--theorem", "4.2", "-o", missing),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: cannot write output file: ")
+        assert err.count("\n") == 1
+
+
+def test_deeply_nested_table_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for action in ("green", "check"):
+        code, _, err = run(capsys, "semigroup", action, str(path))
+        assert (code, err) == (2, "error: input nests too deeply\n")
+
+
+def test_deeply_nested_word(capsys):
+    text = "(" * 3000 + "x" + ")^-1" * 3000
+    code, _, err = run(capsys, "word", "parse", text)
+    assert (code, err) == (2, "error: input nests too deeply\n")
+
+
 # ---------------------------------------------------------------------------
 # semigroup
 

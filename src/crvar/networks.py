@@ -137,6 +137,8 @@ def normalize(e: NodeExpr) -> NodeExpr:
 
 
 def _normalize_once(e: NodeExpr) -> NodeExpr:
+    if isinstance(e, TaggedNode):
+        return TaggedNode(e.tag, _normalize_once(e.expr))
     if isinstance(e, BaseNode):
         return e
     if isinstance(e, UpperNode):

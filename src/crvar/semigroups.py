@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .words import Inv, Term, Var, content
@@ -45,6 +46,9 @@ class UnaryCayleyTable:
     op: tuple  # n rows, each a tuple of n element indices
     inv: tuple  # length-n vector
     name: str = field(default="", compare=False)
+    # results of ``green`` and ``largest_congruence_within``, which depend on
+    # op and inv only; a table never changes, so they stay valid
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -75,7 +79,60 @@ def table(op: Sequence[Sequence[int]], inv: Sequence[int], name: str = "") -> Un
 # axioms
 
 
+def _magma_generators(S: UnaryCayleyTable) -> List[int]:
+    """A set G whose left-normed products ``(..((g1 g2) g3)..) gk`` cover S.
+
+    Greedy: candidates are taken by descending count of distinct entries in
+    their row and column, and one joins G when the closure of G under right
+    multiplication by G does not reach it yet.  The closure needs no
+    associativity, so G generates S as a magma even when the table is not a
+    semigroup.
+    """
+    op = S.op
+    n = S.order
+    reach = [len(set(row)) + len(set(col)) for row, col in zip(op, zip(*op))]
+    gens: List[int] = []
+    covered = [False] * n
+    closure: List[int] = []
+    for a in sorted(range(n), key=lambda a: -reach[a]):
+        if covered[a]:
+            continue
+        gens.append(a)
+        frontier = [a] + [op[x][a] for x in closure]
+        while frontier:
+            x = frontier.pop()
+            if not covered[x]:
+                covered[x] = True
+                closure.append(x)
+                row = op[x]
+                frontier += [row[g] for g in gens]
+        if len(closure) == n:
+            break
+    return gens
+
+
+def _passes_light_test(S: UnaryCayleyTable) -> bool:
+    """Light's test (Clifford & Preston I, section 1.2): the table is
+    associative iff (xg)y = x(gy) for every g in a magma generating set G and
+    all x, y.  This costs O(n^2 |G|) instead of O(n^3)."""
+    op = S.op
+    # order < 2 is associative; itemgetter needs two indices to return a tuple
+    if len(op) < 2:
+        return True
+    for g in _magma_generators(S):
+        compose = itemgetter(*op[g])  # row of x -> row of x(g-)
+        if any(op[row_x[g]] != compose(row_x) for row_x in op):
+            return False
+    return True
+
+
 def first_nonassociative_triple(S: UnaryCayleyTable) -> Optional[tuple]:
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc).
+
+    The O(n^3) scan that names it runs only after Light's test has failed.
+    """
+    if _passes_light_test(S):
+        return None
     op = S.op
     rng = range(S.order)
     for a in rng:
@@ -361,22 +418,21 @@ def largest_congruence_within(S: UnaryCayleyTable, theta: Partition) -> Partitio
     Iterated signature refinement: split blocks until left and right
     translations and inversion are all compatible.
     """
-    n = S.order
-    op, inv = S.op, S.inv
     p = normalize_partition(theta)
+    key = ("congruence", p)
+    hit = S._memo.get(key)
+    if hit is not None:
+        return hit
+    op, inv = S.op, S.inv
     while True:
-        sig = [
-            (
-                p[a],
-                p[inv[a]],
-                tuple(p[op[c][a]] for c in range(n)),
-                tuple(p[op[a][c]] for c in range(n)),
-            )
-            for a in range(n)
-        ]
+        block = p.__getitem__
+        rows = [tuple(map(block, row)) for row in op]  # p[ac] for each a, c
+        # each element's block, its inverse's block, its column and its row
+        sig = zip(p, map(block, inv), zip(*rows), rows)
         ids: Dict[tuple, int] = {}
         q = normalize_partition([ids.setdefault(s, len(ids)) for s in sig])
         if q == p:
+            S._memo[key] = p
             return p
         p = q
 
@@ -398,6 +454,9 @@ class GreenRelations:
 
 
 def green(S: UnaryCayleyTable) -> GreenRelations:
+    hit = S._memo.get("green")
+    if hit is not None:
+        return hit
     n = S.order
     op = S.op
     left_ideals = []
@@ -407,7 +466,8 @@ def green(S: UnaryCayleyTable) -> GreenRelations:
         right_ideals.append(frozenset([a] + [op[a][x] for x in range(n)]))
     L = _partition_by(left_ideals)
     R = _partition_by(right_ideals)
-    return GreenRelations(L, R, partition_meet(L, R), partition_join(L, R))
+    g = S._memo["green"] = GreenRelations(L, R, partition_meet(L, R), partition_join(L, R))
+    return g
 
 
 def _partition_by(keys: Sequence) -> Partition:

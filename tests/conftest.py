@@ -24,3 +24,15 @@ def random_term(rng: random.Random, depth: int, letters="pqrstuxyz"):
 def random_terms(count: int, depth: int, seed: int = 0):
     rng = random.Random(seed)
     return [random_term(rng, depth) for _ in range(count)]
+
+
+def brute_nonassociative_triple(S):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), by a
+    plain triple loop: the oracle for ``first_nonassociative_triple``."""
+    op, n = S.op, S.order
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if op[op[a][b]][c] != op[a][op[b][c]]:
+                    return (a, b, c)
+    return None

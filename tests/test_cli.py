@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import brute_nonassociative_triple
 
 from crvar import cli
 from crvar import semigroups as sg
@@ -260,6 +261,20 @@ def test_semigroup_check_reports_failure(capsys, tmp_path):
     code, out, _ = run(capsys, "semigroup", "check", str(bad))
     assert code == 1
     assert "not associative" in out
+
+
+def test_semigroup_check_names_the_first_triple_of_a_large_table(capsys, tmp_path):
+    S = sg.direct_product(sg.free_band(3), left_zero(2))
+    op = [list(row) for row in S.op]
+    op[40][7] = op[40][8]
+    edited = sg.table(op, S.inv)
+    triple = brute_nonassociative_triple(edited)
+    assert triple is not None
+    path = tmp_path / "edited.json"
+    path.write_text(sg.table_to_json(edited))
+    code, out, _ = run(capsys, "semigroup", "check", str(path))
+    assert code == 1
+    assert out == f"order 318: not associative, failing triple {triple}\n"
 
 
 def test_semigroup_extend_then_L0_identity(capsys, tmp_path, fb2_file):

@@ -371,6 +371,14 @@ def test_normalize_is_idempotent_and_terminates():
         assert nw.normalize(once) == once
 
 
+def test_normalize_keeps_the_tag_of_combined_nodes():
+    for depth in (1, 2, 3):
+        for n in nw.gen_combined(depth).nodes:
+            once = nw.normalize(n)
+            assert once == nw.TaggedNode(n.tag, nw.normalize(n.expr))
+            assert nw.normalize(once) == once
+
+
 # ---------------------------------------------------------------------------
 # lattice checking
 

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from conftest import brute_nonassociative_triple
 
 from crvar import semigroups as sg
 from crvar import words as wd
@@ -41,6 +43,76 @@ def test_battery_tables_pass_axioms(tables):
     for name, S in tables.items():
         assert sg.is_associative(S), name
         assert sg.is_completely_regular(S), name
+
+
+def _single_op_edits(S):
+    """Every table that differs from S in exactly one op entry."""
+    n = S.order
+    for i in range(n):
+        for j in range(n):
+            for v in range(n):
+                if v != S.op[i][j]:
+                    op = [list(row) for row in S.op]
+                    op[i][j] = v
+                    yield sg.table(op, S.inv)
+
+
+def _relabeled(S, seed):
+    perm = list(range(S.order))
+    random.Random(seed).shuffle(perm)
+    op = [[0] * S.order for _ in perm]
+    for a in range(S.order):
+        for b in range(S.order):
+            op[perm[a]][perm[b]] = perm[S.op[a][b]]
+    inv = [0] * S.order
+    for a in range(S.order):
+        inv[perm[a]] = perm[S.inv[a]]
+    return sg.table(op, inv, S.name)
+
+
+def test_associativity_gate_matches_oracle_on_cr_tables():
+    found = list(sg.enumerate_unary_cr_tables(3))
+    assert len(found) == 57
+    for S in found:
+        assert sg.first_nonassociative_triple(S) == brute_nonassociative_triple(S) is None
+
+
+def test_associativity_gate_matches_oracle_on_single_edits(tables):
+    edits = 0
+    for S in tables.values():
+        assert S.order <= 8
+        for T in _single_op_edits(S):
+            assert sg.first_nonassociative_triple(T) == brute_nonassociative_triple(T), T.op
+            edits += 1
+    assert edits == 2074
+
+
+def test_associativity_gate_matches_oracle_on_random_magmas():
+    rng = random.Random(7)
+    failing = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(400):
+            S = sg.table([[rng.randrange(n) for _ in range(n)] for _ in range(n)], range(n))
+            expected = brute_nonassociative_triple(S)
+            assert sg.first_nonassociative_triple(S) == expected, S.op
+            failing += expected is not None
+    assert 0 < failing < 1600
+
+
+def test_magma_generators_cover_relabeled_free_band():
+    S = _relabeled(sg.free_band(3), seed=3)
+    gens = sg._magma_generators(S)
+    closure = set(gens)
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = S.op[x][g]
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    assert closure == set(range(S.order))
+    assert len(gens) < S.order
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +453,45 @@ def test_trace_equality_matches_T_flag(tables):
                 assert (ta.tr == tb.tr) == (
                     "T" in sg.relate(S, rho, lam)
                 ), (S.name, rho, lam)
+
+
+# ---------------------------------------------------------------------------
+# the per-table memo
+
+ROUTES = ("K", "T", "Tl", "Tr", "Kl", "Kr")
+
+
+def _fresh(S):
+    return sg.UnaryCayleyTable(S.op, S.inv, S.name)
+
+
+def _answers(S):
+    from crvar import varieties as va
+
+    rhos = [va.route_congruence(S, r) for r in ROUTES]
+    return (
+        [sg.green(S), sg.tau(S), sg.L0(S), sg.R0(S), sg.H0(S)]
+        + rhos
+        + [sg.relate(S, rho, lam) for rho in rhos for lam in rhos]
+    )
+
+
+def test_memo_is_invisible_to_equality_hash_repr_and_json(tables):
+    for S in tables.values():
+        cold, warm = _fresh(S), _fresh(S)
+        _answers(warm)
+        assert warm._memo and not cold._memo
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert sg.table_to_json(warm) == sg.table_to_json(cold)
+
+
+def test_memo_answers_match_a_fresh_table(tables):
+    for S in tables.values():
+        warm = _fresh(S)
+        first = _answers(warm)
+        assert sg.green(warm) is first[0]
+        assert _answers(warm) == first == _answers(_fresh(S)), S.name
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 from typing import Optional
 
 from . import networks as nw
@@ -307,9 +306,7 @@ def _common(p) -> None:
     p.add_argument("-o", "--output")
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="crvar",
         description="word algebra, finite unary semigroups and variety networks",
@@ -375,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
